@@ -160,15 +160,7 @@ func alpha(m int) float64 {
 // is used instead (the Heule et al. regime switch that E8 probes).
 func (h *HLL) Estimate() float64 {
 	m := 1 << h.p
-	var sum float64
-	zeros := 0
-	for i := 0; i < m; i++ {
-		r := h.getRegister(i)
-		sum += 1 / float64(uint64(1)<<r)
-		if r == 0 {
-			zeros++
-		}
-	}
+	sum, zeros := h.harmonicSum()
 	raw := alpha(m) * float64(m) * float64(m) / sum
 	if raw <= 2.5*float64(m) && zeros > 0 {
 		return linearCounting(m, zeros)
@@ -181,10 +173,7 @@ func (h *HLL) Estimate() float64 {
 // counting (and HLL++'s bias tables) fix.
 func (h *HLL) RawEstimate() float64 {
 	m := 1 << h.p
-	var sum float64
-	for i := 0; i < m; i++ {
-		sum += 1 / float64(uint64(1)<<h.getRegister(i))
-	}
+	sum, _ := h.harmonicSum()
 	return alpha(m) * float64(m) * float64(m) / sum
 }
 
@@ -213,21 +202,36 @@ func (h *HLL) M() int { return 1 << h.p }
 // SizeBytes returns the packed register storage size.
 func (h *HLL) SizeBytes() int { return len(h.packed) * 8 }
 
+// compatible reports whether other shares p and seed, the condition for
+// register-wise exchange.
+func (h *HLL) compatible(other *HLL) error {
+	if h.p != other.p || h.seed != other.seed {
+		return fmt.Errorf("%w: HLL p=%d/seed=%d vs p=%d/seed=%d",
+			core.ErrIncompatible, h.p, h.seed, other.p, other.seed)
+	}
+	return nil
+}
+
 // Merge takes the register-wise maximum — the lossless union that makes
 // HLL "slice and dice" reach reporting possible (§3 of the paper):
 // sketches per (campaign, demographic) cell can be combined along any
 // dimension without double counting.
 func (h *HLL) Merge(other *HLL) error {
-	if h.p != other.p || h.seed != other.seed {
-		return fmt.Errorf("%w: HLL p=%d/seed=%d vs p=%d/seed=%d",
-			core.ErrIncompatible, h.p, h.seed, other.p, other.seed)
+	if err := h.compatible(other); err != nil {
+		return err
 	}
-	m := 1 << h.p
-	for i := 0; i < m; i++ {
-		if r := other.getRegister(i); r > h.getRegister(i) {
-			h.setRegister(i, r)
-		}
+	mergeRegisters(h.packed, other.packed, 1<<h.p)
+	return nil
+}
+
+// CopyFrom overwrites the registers with other's, the allocation-free
+// counterpart of Clone for callers that keep one sketch as a reusable
+// buffer. other must share p and seed.
+func (h *HLL) CopyFrom(other *HLL) error {
+	if err := h.compatible(other); err != nil {
+		return err
 	}
+	copy(h.packed, other.packed)
 	return nil
 }
 

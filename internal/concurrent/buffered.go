@@ -87,7 +87,7 @@ type flushBuf struct {
 // so its cost amortizes over many buffers under load.
 type propagator struct {
 	flushq     chan *flushBuf
-	ctl        chan func()
+	ctl        chan ctlOp
 	quit       chan struct{}
 	done       chan struct{}
 	closed     atomic.Bool
@@ -125,7 +125,7 @@ func newPropagator(writerBuf int, apply func([]pair), publish func()) *propagato
 	}
 	p := &propagator{
 		flushq:  make(chan *flushBuf, 4*drainRound),
-		ctl:     make(chan func()),
+		ctl:     make(chan ctlOp),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 		half:    writerBuf / 2,
@@ -155,10 +155,13 @@ func (p *propagator) loop() {
 			// refresh read state, run the op, then refresh again —
 			// the op itself may mutate the global (Merge on a
 			// quiescent sketch sees no later flush to publish for it).
+			// The caller is released only after that second publish,
+			// so its next read sees the op's effect.
 			p.drainBacklog(-1)
 			p.forcePublish()
-			op()
+			op.fn()
 			p.forcePublish()
+			close(op.done)
 		case <-p.quit:
 			p.drainBacklog(-1)
 			p.forcePublish()
@@ -224,13 +227,20 @@ func (p *propagator) consume(buf *flushBuf) {
 	}
 }
 
+// ctlOp is a barrier operation for the propagator goroutine; done is
+// closed once fn has run and read state is republished.
+type ctlOp struct {
+	fn   func()
+	done chan struct{}
+}
+
 // do runs op on the propagator goroutine after a full backlog drain
 // and publish, blocking until it completes. Returns false if the
 // propagator has been closed (op did not run).
 func (p *propagator) do(op func()) bool {
 	ran := make(chan struct{})
 	select {
-	case p.ctl <- func() { op(); close(ran) }:
+	case p.ctl <- ctlOp{fn: op, done: ran}:
 		<-ran
 		return true
 	case <-p.quit:

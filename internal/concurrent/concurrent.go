@@ -2,16 +2,22 @@
 // spirit of the Yahoo!/Apache DataSketches "fast concurrent data
 // sketches" work the paper cites (Rinberg et al., TOPC 2022): the
 // project "emphasised the need for concurrency and mergability of
-// sketches". Two designs are provided:
+// sketches". The serving layer picks one wrapper per family:
 //
-//   - ShardedHLL: per-goroutine HLL shards that are merged on read.
-//     Updates are entirely uncontended (the DataSketches approach of
-//     thread-local buffers), reads pay the merge.
-//   - AtomicCountMin: a Count-Min sketch whose counters are updated
-//     with atomic adds — wait-free updates, exact reads, no locks.
+//   - ShardedHLL: lock-striped HLL shards. Writers contend only within
+//     their shard; a read folds the shards into one reused buffer,
+//     cached until the next write.
+//   - AtomicCountMin and AtomicBlockedBloom: counters and bit words
+//     updated with atomic adds and CAS-ORs — no locks on the hot path.
+//   - ServingSF: an RWMutex SF-sketch that hashes batches outside the
+//     lock, because its two-stage update is read-dependent.
+//   - BufferedCountMin, BufferedHLL and BufferedBlockedBloom: writers
+//     fill private buffers that one propagator goroutine folds into the
+//     global sketch, trading bounded read staleness for core-local
+//     ingest (see buffered.go).
 //
-// Experiment E7a measures the update-throughput scaling of both
-// against a mutex-guarded baseline.
+// MutexCountMin is the single-lock baseline. Experiments E7a and E29
+// measure update-throughput scaling against it and across designs.
 package concurrent
 
 import (
@@ -37,15 +43,15 @@ type ShardedHLL struct {
 	seed   uint64
 	next   atomic.Uint64
 
-	// cached merged view, rebuilt when the epoch moves. cacheEpoch is
-	// read before the rebuild merges the shards, so writes that race
-	// with a rebuild land in a later epoch and invalidate it again —
-	// the cache can be stale-marked but never wrong.
+	// cached merged view: one buffer, allocated on the first read and
+	// rebuilt in place when the epoch moves. cacheEpoch is read before
+	// the rebuild merges the shards, so writes that race with a rebuild
+	// land in a later epoch and invalidate it again — the cache can be
+	// stale-marked but never wrong. cacheMu guards every field below.
 	cacheMu    sync.Mutex
 	cache      *cardinality.HLL
 	cacheEst   float64
 	cacheEpoch uint64
-	cacheValid bool
 }
 
 type shardedHLLSlot struct {
@@ -151,36 +157,44 @@ func (s *ShardedHLL) epoch() uint64 {
 	return e
 }
 
-// mergeShards builds a fresh merged sketch from all shards. This is the
-// uncached read path; BenchmarkShardedHLLEstimate measures what the
-// epoch cache saves over calling this on every read.
-func (s *ShardedHLL) mergeShards() *cardinality.HLL {
-	merged := cardinality.NewHLL(s.p, s.seed)
+// mergeShards overwrites dst with the union of all shards: the first
+// shard's registers are copied and the rest max-merged in, each under
+// its own shard's lock, so a read costs no allocation and no clone.
+// This is the uncached read path; BenchmarkShardedHLLEstimate measures
+// what the epoch cache saves over calling it on every read.
+func (s *ShardedHLL) mergeShards(dst *cardinality.HLL) {
 	for i := range s.shards {
-		s.shards[i].mu.Lock()
-		clone := s.shards[i].hll.Clone()
-		s.shards[i].mu.Unlock()
-		if err := merged.Merge(clone); err != nil {
+		slot := &s.shards[i]
+		slot.mu.Lock()
+		var err error
+		if i == 0 {
+			err = dst.CopyFrom(slot.hll)
+		} else {
+			err = dst.Merge(slot.hll)
+		}
+		slot.mu.Unlock()
+		if err != nil {
 			panic(err) // all shards share p and seed by construction
 		}
 	}
-	return merged
 }
 
-// mergedView returns the cached merged sketch, rebuilding it only if a
-// write moved the epoch since the last rebuild. Callers must not
-// mutate the result; Snapshot clones it for them.
-func (s *ShardedHLL) mergedView() (*cardinality.HLL, float64) {
+// refreshLocked brings the cached merged view up to date, rebuilding it
+// in place only if a write moved the epoch since the last rebuild, and
+// returns its estimate. The caller holds cacheMu, which also guards
+// every read of the cache buffer, so a concurrent rebuild never tears
+// a Snapshot or MarshalBinary.
+func (s *ShardedHLL) refreshLocked() float64 {
 	e := s.epoch()
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	if !s.cacheValid || s.cacheEpoch != e {
-		s.cache = s.mergeShards()
-		s.cacheEst = s.cache.Estimate()
-		s.cacheEpoch = e
-		s.cacheValid = true
+	if s.cache == nil {
+		s.cache = cardinality.NewHLL(s.p, s.seed)
+	} else if s.cacheEpoch == e {
+		return s.cacheEst
 	}
-	return s.cache, s.cacheEst
+	s.mergeShards(s.cache)
+	s.cacheEst = s.cache.Estimate()
+	s.cacheEpoch = e
+	return s.cacheEst
 }
 
 // Estimate returns the cardinality estimate of the union of all
@@ -189,15 +203,18 @@ func (s *ShardedHLL) mergedView() (*cardinality.HLL, float64) {
 // union of all shards' inputs. Repeated reads between writes are
 // served from the epoch cache in O(shards) instead of O(m · shards).
 func (s *ShardedHLL) Estimate() float64 {
-	_, est := s.mergedView()
-	return est
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	return s.refreshLocked()
 }
 
 // Snapshot returns a private copy of the merged sketch, suitable for
 // serialization or further merging by the caller.
 func (s *ShardedHLL) Snapshot() *cardinality.HLL {
-	merged, _ := s.mergedView()
-	return merged.Clone()
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	s.refreshLocked()
+	return s.cache.Clone()
 }
 
 // Merge folds a peer's HLL (same p and seed) into the sketch. The peer
@@ -217,8 +234,10 @@ func (s *ShardedHLL) Merge(other *cardinality.HLL) error {
 // MarshalBinary serializes the merged view in the standard HLL
 // envelope, so any HLL (sharded or not) can absorb it.
 func (s *ShardedHLL) MarshalBinary() ([]byte, error) {
-	merged, _ := s.mergedView()
-	return merged.MarshalBinary()
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	s.refreshLocked()
+	return s.cache.MarshalBinary()
 }
 
 // P returns the dense precision shared by all shards.

@@ -88,3 +88,19 @@ func TestIDRank(t *testing.T) {
 		t.Errorf("idRank(E16) = %d,%q", n, s)
 	}
 }
+
+func TestE29ScalingNoteNeedsFourWriters(t *testing.T) {
+	// Below 4 writers neither scaling bar is measured, whatever the
+	// ratios: the note must say so instead of printing "met".
+	got := e29ScalingNote(2, 1.11, 1.02)
+	want := "buffered Count-Min scaling 1→2 writers: 1.11x (acceptance ≥3x on ≥4 cores: not measured (2 writers)); atomic: 1.02x (expected <1.5x: not measured (2 writers))"
+	if got != want {
+		t.Fatalf("2-writer note:\n got %s\nwant %s", got, want)
+	}
+	if got := e29ScalingNote(4, 1.11, 1.6); !strings.Contains(got, "≥4 cores: NOT met") || !strings.Contains(got, "<1.5x: NOT met") {
+		t.Fatalf("4-writer note with failing bars: %s", got)
+	}
+	if got := e29ScalingNote(8, 3.2, 1.1); strings.Count(got, ": met)") != 2 {
+		t.Fatalf("8-writer note with passing bars: %s", got)
+	}
+}

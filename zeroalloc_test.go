@@ -70,8 +70,23 @@ func TestZeroAllocHotPaths(t *testing.T) {
 	assertZeroAlloc(t, "concurrent.AtomicCountMin.AddString", func() { acm.AddString(skey, 1) })
 	assertZeroAlloc(t, "concurrent.AtomicCountMin.EstimateUint64", func() { _ = acm.EstimateUint64(42) })
 
-	handle := concurrent.NewShardedHLL(4, 12, 1).Handle()
+	peer := cardinality.NewHLL(12, 1)
+	peer.AddUint64(7)
+	assertZeroAlloc(t, "cardinality.HLL.Merge", func() { _ = h.Merge(peer) })
+	assertZeroAlloc(t, "cardinality.HLL.Estimate", func() { _ = h.Estimate() })
+
+	sharded := concurrent.NewShardedHLL(4, 12, 1)
+	handle := sharded.Handle()
 	assertZeroAlloc(t, "concurrent.HLLHandle.AddUint64", func() { handle.AddUint64(42) })
+	// Steady state of a serving read after a write: the first Estimate
+	// allocates the merged-view buffer, every later rebuild reuses it.
+	_ = sharded.Estimate()
+	next := uint64(0)
+	assertZeroAlloc(t, "concurrent.ShardedHLL write+Estimate", func() {
+		handle.AddUint64(next)
+		next++
+		_ = sharded.Estimate()
+	})
 
 	assertZeroAlloc(t, "hashx.XXHash64String", func() { _ = hashx.XXHash64String(skey, 1) })
 	assertZeroAlloc(t, "hashx.Murmur3_128String", func() { _, _ = hashx.Murmur3_128String(skey, 1) })
